@@ -38,6 +38,9 @@ type Metrics struct {
 	// added. Unlike wall clocks it is deterministic for a fixed input and
 	// schedule-independent, which makes it the per-rank global-phase work
 	// metric the placement layer balances (and cmd/placebench reports).
+	// The streaming delta engine adds every batch's intersection work here,
+	// its inline (both endpoints local) pairs included, as the list elements
+	// its kernels scanned (core.StreamWork).
 	RecvWorkWords int64
 
 	// Frame-latency calibration samples (costmodel.Calibrate). Every data

@@ -255,7 +255,7 @@ type overlapPipeline struct {
 	// live α/β estimate as samples accumulate.
 	flushWords int
 	// measured marks a -profile=measured run; recalTick spaces the re-fits.
-	measured bool
+	measured  bool
 	recalTick int
 
 	workers   []*countState  // private per-worker states (threads > 1)

@@ -23,7 +23,11 @@ const (
 	// chNeighEdge carries per-edge records (v, u, A(v)...) used when the
 	// surrogate dedup is disabled: the receiver intersects only for the named
 	// u, exactly Algorithm 2's semantics (otherwise repeated shipments of the
-	// same neighborhood would double count).
+	// same neighborhood would double count). While streaming, the delta
+	// engine re-registers it for its per-(vertex, PE) records
+	// [v, |Δ(v)|, Δ(v)..., old(v)...]: one per batch for each lower PE owning
+	// a new neighbor of v, paired there with every such neighbor, and
+	// intersected through a hub bitset when old(v) has ≥ ⌈n/64⌉ entries.
 	chNeighEdge = 7
 	// chHubShip carries placement shipments (hub, A(hub)...): a moved hub's
 	// oriented neighborhood, sent once by its owner to the surrogate PE the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,13 +32,20 @@ import (
 //
 // and the batch's triangle delta is n0 + n1/2 + n2/3 — divided only after
 // the global sum, since per-PE shares need not be divisible. Intersections
-// run in global-ID space with the adaptive merge/gallop kernels: degree
-// orientation is unstable under inserts (an insert can flip an edge's
-// direction and would force re-orientation per batch), so the delta engine
-// deliberately stays unoriented; double counting cannot occur because every
-// new edge is processed exactly once, at the owner of its smaller endpoint,
-// with cut pairs shipped over the queue exactly like the one-shot global
-// phase ships cut neighborhoods.
+// run in global-ID space: degree orientation is unstable under inserts (an
+// insert can flip an edge's direction and would force re-orientation per
+// batch), so the delta engine deliberately stays unoriented; double
+// counting cannot occur because every new edge is processed exactly once,
+// at the owner of its smaller endpoint.
+//
+// Cut pairs travel the way the one-shot global phase ships cut
+// neighborhoods: once per (vertex, PE), not once per cut edge. The owner of
+// v sends [v, |Δ(v)|, Δ(v)..., old(v)...] once per batch to each lower PE
+// that owns some w ∈ Δ(v), and that PE pairs v with all of them. An old
+// list of at least ⌈n/64⌉ entries — a hub row, resident or shipped — is
+// intersected through a global-ID bitset built lazily once per vertex per
+// batch (its n/64 words are no more than the list, so memory stays linear);
+// every other pair runs the adaptive merge/gallop kernel.
 
 // BatchSource yields successive edge batches of a stream. Returning nil or
 // an empty batch ends the source. Batches may be any size; the driver
@@ -73,6 +81,8 @@ type StreamResult struct {
 	Deltas []uint64
 	// Count is the final triangle count: Initial plus all Deltas.
 	Count uint64
+	// Work counts the delta engine's kernel work and shipments.
+	Work StreamWork
 	// Res carries the merged per-PE metrics and phase breakdown (its Count
 	// equals the final Count; LCC/Collect fields stay empty — unsupported
 	// while streaming).
@@ -88,6 +98,7 @@ type feedItem struct {
 // streamOutcome is the per-PE streaming state collected by the driver.
 type streamOutcome struct {
 	tuples [][3]uint64 // per insert batch: (n0, n1, n2) shares
+	work   StreamWork
 }
 
 // countBody runs one algorithm's counting phases on an already-built local
@@ -225,6 +236,7 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 		if len(so.tuples) != nb {
 			return nil, fmt.Errorf("core: stream feed skew: %d vs %d insert batches", len(so.tuples), nb)
 		}
+		sr.Work.add(so.work)
 	}
 	for b := 0; b < nb; b++ {
 		var n0, n1, n2 uint64
@@ -321,7 +333,7 @@ func streamBody(pe *dist.PE, pt *part.Partition, feed <-chan feedItem, abortCh <
 	// Drain), so re-registering chNeighEdge cannot race an in-flight
 	// one-shot record; the barrier below guarantees every PE has its stream
 	// handler installed before any PE can send the first staged record.
-	ss := &streamState{sb: sb}
+	ss := newStreamState(sb, pt.N())
 	pe.Q.Handle(chNeighEdge, ss.handle)
 	pe.C.Barrier()
 
@@ -354,6 +366,7 @@ func streamBody(pe *dist.PE, pt *part.Partition, feed <-chan feedItem, abortCh <
 		sw.phase(PhaseStreamCommit)
 		sb.Commit(cfg.Threads)
 	}
+	so.work = ss.work
 	sw.stop()
 	return nil
 }
@@ -365,41 +378,188 @@ type streamState struct {
 	sb         *graph.StreamBuilder
 	n0, n1, n2 uint64
 	ship       []uint64 // send scratch, reused across records
+
+	// Hub bitsets. An old list of at least hubMin = ⌈n/64⌉ entries is
+	// answered from a global-ID bitset over [0, n): at that length the
+	// bitset's words are no more than the list's, so memory stays linear.
+	// Bitsets are built lazily, once per vertex per batch — rowHub caches
+	// resident rows (index+1 into held), a shipped list gets one per record
+	// (a record arrives once per PE per batch) — and are cleared back onto
+	// the free list after the batch's Drain.
+	n       int
+	hubMin  int
+	rowHub  []int32        // local row → index+1 into held; 0 = not built
+	hubRows []int32        // rows with a rowHub entry this batch
+	held    []graph.Bitset // bitsets in use this batch
+	free    []graph.Bitset // cleared bitsets ready for reuse
+
+	work    StreamWork // cumulative kernel and shipment counters
+	metered uint64     // intersection words already added to RecvWorkWords
+}
+
+// StreamWork counts the delta engine's work over all inserted batches. In a
+// StreamResult the counters are summed over PEs, except MaxFanout (a max).
+type StreamWork struct {
+	// BitsetWords is the number of list elements probed against hub
+	// bitsets, plus the old-list elements set while building them.
+	BitsetWords uint64
+	// MergeWords is the number of list elements handed to the adaptive
+	// merge/gallop kernel (both operand lengths per intersection).
+	MergeWords uint64
+	// HubBitsets is the number of hub bitsets built.
+	HubBitsets uint64
+	// Records is the number of (vertex, PE) neighborhood records shipped.
+	Records uint64
+	// MaxFanout is the most PEs one vertex's record went to in one batch.
+	MaxFanout int
+}
+
+func (w *StreamWork) add(o StreamWork) {
+	w.BitsetWords += o.BitsetWords
+	w.MergeWords += o.MergeWords
+	w.HubBitsets += o.HubBitsets
+	w.Records += o.Records
+	w.MaxFanout = max(w.MaxFanout, o.MaxFanout)
+}
+
+func newStreamState(sb *graph.StreamBuilder, n uint64) *streamState {
+	return &streamState{sb: sb, n: int(n), hubMin: max(1, graph.BitsetWords(int(n)))}
+}
+
+// listBits returns a bitset of list when it reaches hubMin entries, else nil.
+func (s *streamState) listBits(list []graph.Vertex) graph.Bitset {
+	if len(list) < s.hubMin {
+		return nil
+	}
+	var bs graph.Bitset
+	if k := len(s.free); k > 0 {
+		bs, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		bs = graph.NewBitset(s.n)
+	}
+	bs.SetList(list)
+	s.held = append(s.held, bs)
+	s.work.HubBitsets++
+	s.work.BitsetWords += uint64(len(list))
+	return bs
+}
+
+// rowBits is listBits for resident row r (old list old), cached for the
+// rest of the batch.
+func (s *streamState) rowBits(r int32, old []graph.Vertex) graph.Bitset {
+	if len(old) < s.hubMin {
+		return nil
+	}
+	if s.rowHub == nil {
+		s.rowHub = make([]int32, s.sb.NLocal())
+	}
+	if i := s.rowHub[r]; i != 0 {
+		return s.held[i-1]
+	}
+	bs := s.listBits(old)
+	s.rowHub[r] = int32(len(s.held))
+	s.hubRows = append(s.hubRows, r)
+	return bs
+}
+
+// releaseBits clears every bitset of the batch onto the free list.
+func (s *streamState) releaseBits() {
+	for _, bs := range s.held {
+		bs.Clear()
+		s.free = append(s.free, bs)
+	}
+	s.held = s.held[:0]
+	for _, r := range s.hubRows {
+		s.rowHub[r] = 0
+	}
+	s.hubRows = s.hubRows[:0]
+}
+
+// merge is the metered adaptive merge/gallop intersection.
+func (s *streamState) merge(a, b []graph.Vertex) uint64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	s.work.MergeWords += uint64(len(a) + len(b))
+	return graph.CountIntersect(a, b)
+}
+
+// probe is the metered bitset intersection |bs ∩ list|.
+func (s *streamState) probe(bs graph.Bitset, list []graph.Vertex) uint64 {
+	s.work.BitsetWords += uint64(len(list))
+	return bs.CountList(list)
+}
+
+// oldDelta returns |old ∩ d|, through old's hub bitset when it has one.
+func (s *streamState) oldDelta(old []graph.Vertex, bs graph.Bitset, d []graph.Vertex) uint64 {
+	if bs != nil {
+		return s.probe(bs, d)
+	}
+	return s.merge(old, d)
 }
 
 // pair accumulates the category intersections for one effective-new edge
-// with endpoint neighborhood splits (oa=old, da=Δ) and (ob, db). Symmetric
-// in the two endpoints; the four lists are sorted, duplicate-free, and
-// old/Δ are disjoint per endpoint, so each closing vertex lands in exactly
-// one category.
-func (s *streamState) pair(oa, da, ob, db []graph.Vertex) {
-	s.n0 += graph.CountIntersect(oa, ob)
-	s.n1 += graph.CountIntersect(oa, db) + graph.CountIntersect(da, ob)
-	s.n2 += graph.CountIntersect(da, db)
+// with endpoint neighborhood splits (oa=old, da=Δ, ba=hub bitset of oa or
+// nil) and (ob, db, bb). Symmetric in the two endpoints; the four lists are
+// sorted, duplicate-free, and old/Δ are disjoint per endpoint, so each
+// closing vertex lands in exactly one category. |oa ∩ ob| probes the shorter
+// old list against the longer one's bitset when either has one.
+func (s *streamState) pair(oa, da []graph.Vertex, ba graph.Bitset, ob, db []graph.Vertex, bb graph.Bitset) {
+	switch {
+	case ba != nil && (bb == nil || len(ob) <= len(oa)):
+		s.n0 += s.probe(ba, ob)
+	case bb != nil:
+		s.n0 += s.probe(bb, oa)
+	default:
+		s.n0 += s.merge(oa, ob)
+	}
+	s.n1 += s.oldDelta(oa, ba, db) + s.oldDelta(ob, bb, da)
+	s.n2 += s.merge(da, db)
 }
 
-// handle processes one shipped record [v, w, |Δ(v)|, Δ(v)..., old(v)...]:
-// the sender owns v, this PE owns w < v, and the pair is counted here.
+// handle processes one shipped record [v, |Δ(v)|, Δ(v)..., old(v)...]: the
+// sender owns v, and this PE counts every pair (v, w) with w ∈ Δ(v) in its
+// range (all such w are below v: the sender ships only to lower ranges).
 func (s *streamState) handle(_ int, words []uint64) {
-	k := int(words[2])
-	dv, ov := words[3:3+k], words[3+k:]
-	r := int32(words[1] - s.sb.First())
-	s.pair(s.sb.Row(r), s.sb.StagedRowOf(r), ov, dv)
+	v, k := words[0], int(words[1])
+	dv, ov := words[2:2+k], words[2+k:]
+	sb := s.sb
+	first, last := sb.First(), sb.Last()
+	bv := s.listBits(ov)
+	i, _ := slices.BinarySearch(dv, first)
+	for _, w := range dv[i:] {
+		if w >= last || w >= v {
+			break
+		}
+		r := int32(w - first)
+		ow := sb.Row(r)
+		s.pair(ow, sb.StagedRowOf(r), s.rowBits(r, ow), ov, dv, bv)
+	}
 }
 
-// countStaged processes every staged new edge exactly once: edge (v,w) is
-// counted at the owner of min(v,w). Iterating row v's staged Δ:
+// countStaged runs one batch's delta step on pe: walk the staged rows
+// (deltaStep), Drain to global data quiescence, then release the batch's
+// bitsets and meter its intersection work.
+func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
+	s.deltaStep(pt, func(dst int, rec []uint64) { pe.Q.Send(chNeighEdge, dst, rec) })
+	pe.Q.Drain()
+	pe.C.M.RecvWorkWords += int64(s.endBatch())
+}
+
+// deltaStep processes every staged new edge exactly once: edge (v,w) is
+// counted at the owner of min(v,w). Row v's sorted staged Δ splits into
+// three ranges:
 //
-//	w > v, w local  → count inline (all four lists are resident here)
-//	w > v, w remote → skip: w's owner has (w,v) staged with v < w and ships
-//	w < v, w local  → skip: counted when the loop reaches row w
-//	w < v, w remote → ship [v, w, Δ(v), old(v)] to w's owner
+//	w < first        → send [v, |Δ(v)|, Δ(v)..., old(v)...] once to each
+//	                   owner of such a w, which counts all of its pairs
+//	first ≤ w < last → count inline when w > v (w < v: counted at row w)
+//	w ≥ last         → skip: w's owner has (w,v) staged with v < w and ships
 //
 // Both owners of a cut edge stage it (the scatter gives edges to both
 // sides, and resident rows stay symmetric across PEs by induction), so
-// every cut pair is shipped exactly once and processed exactly once. The
-// closing Drain reaches global data quiescence for the batch.
-func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
+// every cut pair reaches its counting PE in exactly one record. send must
+// not retain rec, which is reused across records.
+func (s *streamState) deltaStep(pt *part.Partition, send func(dst int, rec []uint64)) {
 	sb := s.sb
 	first, last := sb.First(), sb.Last()
 	for _, r := range sb.Staged() {
@@ -409,18 +569,40 @@ func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
 		}
 		v := first + graph.Vertex(r)
 		ov := sb.Row(r)
-		for _, w := range dv {
-			local := w >= first && w < last
-			switch {
-			case w > v && local:
-				rw := int32(w - first)
-				s.pair(ov, dv, sb.Row(rw), sb.StagedRowOf(rw))
-			case w < v && !local:
-				s.ship = append(append(s.ship[:0], v, w, uint64(len(dv))), dv...)
+		fanout := 0
+		for i := 0; i < len(dv) && dv[i] < first; {
+			dst := pt.Rank(dv[i])
+			if fanout == 0 {
+				s.ship = append(append(s.ship[:0], v, uint64(len(dv))), dv...)
 				s.ship = append(s.ship, ov...)
-				pe.Q.Send(chNeighEdge, pt.Rank(w), s.ship)
 			}
+			send(dst, s.ship)
+			fanout++
+			_, hi := pt.Range(dst)
+			j, _ := slices.BinarySearch(dv[i:], hi)
+			i += j
+		}
+		s.work.Records += uint64(fanout)
+		s.work.MaxFanout = max(s.work.MaxFanout, fanout)
+		lo, _ := slices.BinarySearch(dv, v+1)
+		for _, w := range dv[lo:] {
+			if w >= last {
+				break
+			}
+			rw := int32(w - first)
+			ow := sb.Row(rw)
+			s.pair(ov, dv, s.rowBits(r, ov), ow, sb.StagedRowOf(rw), s.rowBits(rw, ow))
 		}
 	}
-	pe.Q.Drain()
+}
+
+// endBatch closes a globally drained batch: its bitsets go back onto the
+// free list, and the intersection words it scanned (sent and received
+// pairs alike) are returned for RecvWorkWords.
+func (s *streamState) endBatch() uint64 {
+	s.releaseBits()
+	total := s.work.BitsetWords + s.work.MergeWords
+	words := total - s.metered
+	s.metered = total
+	return words
 }

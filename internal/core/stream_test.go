@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/testgraph"
 )
@@ -312,4 +314,61 @@ func TestSparsifyColorfulRejectsZeroColors(t *testing.T) {
 		}
 	}()
 	SparsifyColorful(g, 0, 1)
+}
+
+// TestRunStreamPerBatchOracle checks every batch's delta, not just the
+// final count, against SeqCount of consecutive prefixes of the arrival
+// order, on a mid-size skewed graph: R-MAT scale 12 has rows on both sides
+// of the ⌈n/64⌉ = 64 hub-bitset threshold, which the tiny fixtures (where
+// nearly every row is a hub) cannot provide. The work counters guard
+// against a vacuous pass: the bitset and the merge/gallop kernels must both
+// have run, and some vertex's record must have gone to two PEs in one batch.
+func TestRunStreamPerBatchOracle(t *testing.T) {
+	cfg := gen.DefaultRMAT(12, 5)
+	cfg.EdgeFactor = 8
+	g := gen.RMAT(cfg)
+	n := g.NumVertices()
+	edges := g.Edges()
+	rand.New(rand.NewSource(11)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	split := len(edges) / 2
+	prefixCount := func(k int) uint64 { return SeqCount(graph.FromEdges(n, edges[:k])) }
+	initial := prefixCount(split)
+
+	for _, sched := range []struct{ batch, inserts int }{
+		{1, 24},                    // single-edge batches over a short tail
+		{61, 1500},                 // many small batches
+		{1500, len(edges) - split}, // few large batches: hubs gain many neighbors at once
+	} {
+		end := split + sched.inserts
+		var want []uint64
+		prev := initial
+		for k := split; k < end; k += sched.batch {
+			c := prefixCount(min(k+sched.batch, end))
+			want = append(want, c-prev)
+			prev = c
+		}
+		for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric, AlgoDiTric2} {
+			for _, p := range []int{1, 2, 3, 4, 8} {
+				sres, err := RunStream(algo, uint64(n), SliceBatches(edges[:split], 4096),
+					SliceBatches(edges[split:end], sched.batch), Config{P: p})
+				if err != nil {
+					t.Fatalf("%s p=%d batch=%d: %v", algo, p, sched.batch, err)
+				}
+				if sres.Initial != initial || !slices.Equal(sres.Deltas, want) {
+					t.Fatalf("%s p=%d batch=%d: initial %d deltas %v, want %d %v",
+						algo, p, sched.batch, sres.Initial, sres.Deltas, initial, want)
+				}
+				w := sres.Work
+				if w.HubBitsets == 0 || w.BitsetWords == 0 || w.MergeWords == 0 {
+					t.Errorf("%s p=%d batch=%d: a kernel never ran: %+v", algo, p, sched.batch, w)
+				}
+				if sched.batch > 1 && p >= 3 && w.MaxFanout < 2 {
+					t.Errorf("%s p=%d batch=%d: no vertex shipped to two PEs in one batch: %+v", algo, p, sched.batch, w)
+				}
+				if p == 1 && w.Records != 0 {
+					t.Errorf("%s p=1: %d records shipped", algo, w.Records)
+				}
+			}
+		}
+	}
 }

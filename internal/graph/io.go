@@ -28,10 +28,10 @@ func WriteEdgeListText(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeListText parses a whitespace-separated edge list. Vertex IDs may be
-// sparse; they are compacted to 0..n-1 in first-appearance order of the
-// sorted ID set. Directed inputs are interpreted as undirected, as the paper
-// does.
+// ReadEdgeListText parses a whitespace-separated edge list. Vertex IDs are
+// used as given, so n is one more than the largest ID; an ID at or above
+// maxVertices is rejected with an error naming its line. Directed inputs are
+// interpreted as undirected, as the paper does.
 func ReadEdgeListText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -55,6 +55,10 @@ func ReadEdgeListText(r io.Reader) (*Graph, error) {
 		v, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", line, err)
+		}
+		if u >= maxVertices || v >= maxVertices {
+			return nil, fmt.Errorf("graph: line %d: vertex ID %d exceeds the supported maximum %d",
+				line, max(u, v), uint64(maxVertices-1))
 		}
 		raw = append(raw, Edge{u, v})
 		if u > maxID {
@@ -97,11 +101,12 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Sanity bounds for ReadBinary headers, so corrupt or hostile files cannot
-// trigger absurd allocations before the stream runs dry.
+// Sanity bounds on input sizes, so corrupt or hostile files cannot trigger
+// absurd allocations before the stream runs dry, nor wrap the vertex count
+// (an ID of 2^64−1 would make n = maxID+1 overflow to 0).
 const (
-	maxBinaryVertices = 1 << 34
-	maxBinaryEdges    = 1 << 36
+	maxVertices    = 1 << 34
+	maxBinaryEdges = 1 << 36
 )
 
 // ReadBinary reads the format written by WriteBinary. Header fields are
@@ -116,7 +121,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if hdr[0] != binMagic {
 		return nil, fmt.Errorf("graph: bad magic %x", hdr[0])
 	}
-	if hdr[1] > maxBinaryVertices || hdr[2] > maxBinaryEdges {
+	if hdr[1] > maxVertices || hdr[2] > maxBinaryEdges {
 		return nil, fmt.Errorf("graph: implausible header n=%d m=%d", hdr[1], hdr[2])
 	}
 	// The vertex allocation must be backed by actual stream content (the m

@@ -53,6 +53,18 @@ func TestReadEdgeListTextErrors(t *testing.T) {
 	if _, err := ReadEdgeListText(strings.NewReader("a b\n")); err == nil {
 		t.Fatal("want error for non-numeric field")
 	}
+	// IDs whose vertex count would wrap (2^64−1 + 1 = 0) or exceed any
+	// allocatable slice must be rejected with the offending line named.
+	for _, in := range []string{"0 18446744073709551615\n", "# c\n0 9223372036854775807\n"} {
+		_, err := ReadEdgeListText(strings.NewReader(in))
+		want := "line 1:"
+		if strings.HasPrefix(in, "#") {
+			want = "line 2:"
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%q: want error naming %q, got %v", in, want, err)
+		}
+	}
 	g, err := ReadEdgeListText(strings.NewReader("\n"))
 	if err != nil || g.NumVertices() != 0 {
 		t.Fatalf("empty input should give empty graph, got %v %v", g, err)

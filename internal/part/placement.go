@@ -142,8 +142,8 @@ func ComputePlacement(p int, base []float64, hubs []HubLoad, alpha, beta, gamma 
 		return hubs[order[a]].GID < hubs[order[b]].GID
 	})
 	type moved struct {
-		gid  uint64
-		dst  int32
+		gid uint64
+		dst int32
 	}
 	var moves []moved
 	for _, i := range order {

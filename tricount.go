@@ -228,6 +228,10 @@ type BatchSource = core.BatchSource
 // triangle deltas, and the final count.
 type StreamResult = core.StreamResult
 
+// StreamWork is StreamResult.Work: the delta engine's per-kernel scanned
+// words, hub bitsets built, records shipped and widest per-batch fanout.
+type StreamWork = core.StreamWork
+
 // Stream counts g's triangles through the streaming driver: the first
 // batches of g's edges (opt.BatchSize each) seed the incrementally built
 // initial graph, the remaining batches are inserted one by one and
