@@ -113,33 +113,46 @@ func cetricFrom(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cfg Confi
 
 // cetricLocalPhase runs EDGE ITERATOR over rows [lo,hi) of the expanded
 // local graph, counting and classifying type-1/type-2 triangles. It works
-// entirely in row space: A-lists are iterated as row indices (so ghost
-// endpoints cost no map lookup) and every wedge closes through the adaptive
-// pair kernels.
+// entirely in row space: each row's A-list is marked once in the state's
+// row marker and every wedge closes with bit tests (graph.RowMarker). Row
+// space puts every local row before every ghost row, so when both wedge
+// endpoints are local the type split by closing vertex is a split of the
+// probed list at NLocal: the count-only path never enumerates.
 func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *countState, lo, hi int) {
 	nLoc := int32(lg.NLocal())
+	fast := !state.lcc && !state.collect
+	m := &state.mark
 	for r := lo; r < hi; r++ {
 		rv := int32(r)
-		vLocal := rv < nLoc
 		av := ori.OutRows(rv)
+		if len(av) < 2 {
+			continue // a single out-neighbor cannot close a triangle
+		}
+		ori.MarkRows(m, av)
 		for _, ur := range av {
 			ru := int32(ur)
-			if !vLocal || ru >= nLoc {
+			switch {
+			case rv >= nLoc || ru >= nLoc:
 				// At most one corner of a local-phase triangle is remote, and
 				// here it is v or u: everything found is type 2.
-				c := state.countWedgeRows(av, rv, ru, ori)
-				state.t2 += c
-				continue
+				state.t2 += state.closeWedge(m, ori, rv, ru)
+			case fast:
+				// Both wedge endpoints local: the closing vertex decides the type.
+				t1, t2 := ori.CountMarkedSplit(m, ru)
+				state.t1 += t1
+				state.t2 += t2
+				state.count += t1 + t2
+			default:
+				ori.ForEachMarked(m, ru, func(w graph.Vertex) {
+					state.addRows(rv, ru, int32(w))
+					if int32(w) < nLoc {
+						state.t1++
+					} else {
+						state.t2++
+					}
+				})
 			}
-			// Both wedge endpoints local: the closing vertex decides the type.
-			ori.ForEachCommonRowsWith(av, ru, func(w graph.Vertex) {
-				state.addRows(rv, ru, int32(w))
-				if int32(w) < nLoc {
-					state.t1++
-				} else {
-					state.t2++
-				}
-			})
 		}
+		m.Clear()
 	}
 }

@@ -183,16 +183,15 @@ func (sh *shipper) firstVisit(dst int) bool {
 }
 
 // ditricLocalRows processes local rows [lo,hi): local-local wedges are
-// intersected in place through the adaptive row-space pair kernels, remote
-// shipments go through the shipper (funneled or direct). With a placement
-// overlay, each cut edge resolves to its effective destination (the hub's
-// surrogate when moved, the owner otherwise); a surrogate that turns out to
-// be this very PE gets its stored-table intersection inline instead of a
-// self-send — the locals in av were already counted above, so the full
-// receive path would double count them.
+// closed in place through the state's row marker, remote shipments go
+// through the shipper (funneled or direct). With a placement overlay, each
+// cut edge resolves to its effective destination (the hub's surrogate when
+// moved, the owner otherwise); a surrogate that turns out to be this very
+// PE gets its stored-table intersection inline instead of a self-send — the
+// locals in av were already counted above, so the full receive path would
+// double count them.
 func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori *graph.LocalOriented,
 	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool, plc *placeRun) {
-	first := lg.First
 	var hdr [2]uint64 // record header scratch, reused across shipments
 	sh := getShipper(pe, sends)
 	defer sh.put()
@@ -200,15 +199,14 @@ func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori 
 		rv := int32(r)
 		v := lg.GID(rv)
 		av := ori.Out(rv)
-		avRows := ori.OutRows(rv)
+		if len(av) < 2 {
+			continue // a single out-neighbor cannot close a triangle
+		}
+		state.closeLocalWedges(ori, rv)
 		if plc != nil && !noSurrogate {
 			sh.nextRow()
 			for _, u := range av {
 				if lg.IsLocal(u) {
-					state.countWedgeRows(avRows, rv, int32(u-first), ori)
-					continue
-				}
-				if len(av) < 2 {
 					continue
 				}
 				j := plc.redirect(pt.Rank(u), u)
@@ -230,11 +228,7 @@ func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori 
 		lastRank := -1
 		for _, u := range av {
 			if lg.IsLocal(u) {
-				state.countWedgeRows(avRows, rv, int32(u-first), ori)
 				continue
-			}
-			if len(av) < 2 {
-				continue // a single out-neighbor cannot close a triangle
 			}
 			if noSurrogate {
 				// Ablation: one per-edge record per cut edge (Algorithm 2
@@ -254,6 +248,27 @@ func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori 
 	}
 }
 
+// closeLocalWedges closes the wedge (rv, u) of every local u in A(rv)
+// through the state's local row marker. Row space puts locals first, so
+// they are a prefix of OutRows. The marker is cleared before returning, so
+// the row's shipments that follow can dispatch receive handlers freely.
+func (s *countState) closeLocalWedges(o *graph.LocalOriented, rv int32) {
+	av := o.OutRows(rv)
+	nLoc := graph.Vertex(s.lg.NLocal())
+	if len(av) < 2 || av[0] >= nLoc {
+		return
+	}
+	m := &s.mark
+	o.MarkRows(m, av)
+	for _, ur := range av {
+		if ur >= nLoc {
+			break
+		}
+		s.closeWedge(m, o, rv, int32(ur))
+	}
+	m.Clear()
+}
+
 // merge folds a worker's private counters into s.
 func (s *countState) merge(w *countState) {
 	s.count += w.count
@@ -261,6 +276,7 @@ func (s *countState) merge(w *countState) {
 	s.t2 += w.t2
 	s.t3 += w.t3
 	s.recvWork += w.recvWork
+	s.probes.Add(w.probeCounts())
 	if s.lcc {
 		for i, d := range w.deltaRows {
 			s.deltaRows[i] += d

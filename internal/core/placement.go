@@ -459,45 +459,13 @@ func (s *countState) recvNeighPass1(v graph.Vertex, list []uint64, o *graph.Loca
 		// No redirected endpoint in this record: the plain path is exact.
 		return s.recvNeigh(v, list, o)
 	}
-	fast := !s.lcc && !s.collect
 	switch {
 	case kept == 0:
 		return 0
-	case kept == 1 && fast:
-		partner := o.Out(keptFirst)
-		s.recvWork += uint64(len(list) + len(partner))
-		c := graph.CountIntersect(list, partner)
-		s.count += c
-		return c
+	case kept == 1 && !s.lcc && !s.collect:
+		return s.countOne(list, keptFirst, o)
 	}
-	rows, _ := lg.TranslateRows(&s.tr, list)
-	var c uint64
-	if fast {
-		for _, ur := range rows[:nLoc] {
-			ru := int32(ur)
-			if pr.redirectedAway(ru) {
-				continue
-			}
-			s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-			c += o.CountRowsWith(rows, ru)
-		}
-		s.count += c
-		return c
-	}
-	// v is adjacent to a kept local vertex, so it is a row (ghost) here.
-	rv := lg.Row(v)
-	for _, ur := range rows[:nLoc] {
-		ru := int32(ur)
-		if pr.redirectedAway(ru) {
-			continue
-		}
-		s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-		o.ForEachCommonRowsWith(rows, ru, func(w graph.Vertex) {
-			s.addRows(rv, ru, int32(w))
-			c++
-		})
-	}
-	return c
+	return s.recvRows(v, list, o, pr)
 }
 
 // surrogateScan resolves pass 2 of a placed receive: a single merge scan

@@ -11,18 +11,16 @@ import (
 // wedge-checking counter used as an independent oracle in tests.
 
 // SeqCount counts triangles with the sequential EDGE ITERATOR on the
-// degree-oriented graph: T = Σ_{(v,u)} |N⁺(v) ∩ N⁺(u)|, every intersection
-// going through the adaptive kernel engine (hub bitmaps, galloping,
-// branchless merge).
+// degree-oriented graph: T = Σ_{(v,u)} |N⁺(v) ∩ N⁺(u)|, every wedge closing
+// through the row-marker engine (N⁺(v) marked once per row, the smaller
+// side probed against the marker or a hub bitmap).
 func SeqCount(g *graph.Graph) uint64 {
 	o := graph.Orient(g)
 	o.BuildHubs(graph.DefaultHubMinDegree)
+	var m graph.RowMarker
 	var count uint64
 	for v := 0; v < g.NumVertices(); v++ {
-		nv := o.Out(graph.Vertex(v))
-		for _, u := range nv {
-			count += o.CountListWith(nv, u)
-		}
+		count += o.CountRow(&m, graph.Vertex(v))
 	}
 	return count
 }
@@ -30,21 +28,14 @@ func SeqCount(g *graph.Graph) uint64 {
 // SeqDeltas counts triangles and the per-vertex incidence counts Δ(v); every
 // triangle increments Δ of all three corners.
 func SeqDeltas(g *graph.Graph) (uint64, []uint64) {
-	o := graph.Orient(g)
-	o.BuildHubs(graph.DefaultHubMinDegree)
 	deltas := make([]uint64, g.NumVertices())
 	var count uint64
-	for v := 0; v < g.NumVertices(); v++ {
-		nv := o.Out(graph.Vertex(v))
-		for _, u := range nv {
-			o.ForEachCommonListWith(nv, u, func(w graph.Vertex) {
-				count++
-				deltas[v]++
-				deltas[u]++
-				deltas[w]++
-			})
-		}
-	}
+	SeqEnumerate(g, func(v, u, w graph.Vertex) {
+		count++
+		deltas[v]++
+		deltas[u]++
+		deltas[w]++
+	})
 	return count, deltas
 }
 
@@ -53,13 +44,11 @@ func SeqDeltas(g *graph.Graph) (uint64, []uint64) {
 func SeqEnumerate(g *graph.Graph, fn func(v, u, w graph.Vertex)) {
 	o := graph.Orient(g)
 	o.BuildHubs(graph.DefaultHubMinDegree)
+	var m graph.RowMarker
 	for v := 0; v < g.NumVertices(); v++ {
-		nv := o.Out(graph.Vertex(v))
-		for _, u := range nv {
-			o.ForEachCommonListWith(nv, u, func(w graph.Vertex) {
-				fn(graph.Vertex(v), u, w)
-			})
-		}
+		o.ForEachRowTriangle(&m, graph.Vertex(v), func(u, w graph.Vertex) {
+			fn(graph.Vertex(v), u, w)
+		})
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // (§III-A1): the per-vertex (or per-edge-chunk) intersections are
 // independent, so they run lock-free over a pool of workers with dynamic
 // chunk stealing (Green et al.'s edge-centric balancing without the static
-// partitioning pass). This is the single-node baseline the distributed
+// partitioning pass); every worker closes its rows' wedges through its own
+// row marker. This is the single-node baseline the distributed
 // algorithms degenerate to at p=1, and the engine a hybrid rank uses per
 // node.
 
@@ -55,6 +56,7 @@ func SharedCount(g *graph.Graph, cfg SharedConfig) SharedResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var m graph.RowMarker
 			var local uint64
 			for {
 				lo := int(next.Add(chunk)) - chunk
@@ -66,19 +68,16 @@ func SharedCount(g *graph.Graph, cfg SharedConfig) SharedResult {
 					hi = n
 				}
 				for v := lo; v < hi; v++ {
-					nv := o.Out(graph.Vertex(v))
-					for _, u := range nv {
-						if deltas == nil {
-							local += o.CountListWith(nv, u)
-							continue
-						}
-						o.ForEachCommonListWith(nv, u, func(w graph.Vertex) {
-							local++
-							deltas[v].Add(1)
-							deltas[u].Add(1)
-							deltas[w].Add(1)
-						})
+					if deltas == nil {
+						local += o.CountRow(&m, graph.Vertex(v))
+						continue
 					}
+					o.ForEachRowTriangle(&m, graph.Vertex(v), func(u, w graph.Vertex) {
+						local++
+						deltas[v].Add(1)
+						deltas[u].Add(1)
+						deltas[w].Add(1)
+					})
 				}
 			}
 			total.Add(local)

@@ -65,6 +65,14 @@ type countState struct {
 	// Receive-side translation scratch (see graph.RowTranslator). Reused
 	// across records so steady-state receive processing allocates nothing.
 	tr graph.RowTranslator
+
+	// Row markers of the wedge-closing engine (graph.RowMarker): mark serves
+	// the local sweeps, recvMark the receive path. They stay separate so the
+	// order of a local row's marking and its sends is never load-bearing: a
+	// send polls, and the receive handlers it dispatches run on this state.
+	mark, recvMark graph.RowMarker
+	// probes holds the branch counts of markers merged in from other states.
+	probes graph.ProbeCounts
 }
 
 func newCountState(lg *graph.LocalGraph, cfg Config) *countState {
@@ -125,9 +133,10 @@ func (s *countState) countEdge(v, u graph.Vertex, av, au []graph.Vertex) uint64 
 // once per local endpoint it contains, so the row translation (which must
 // resolve the list's ghosts) only pays off when there are at least two: a
 // cheap range-check scan picks the strategy first — drop the record, run one
-// global-ID intersection, or translate once and run every intersection in
-// row space with the adaptive kernels. Zero map lookups and zero allocations
-// per record either way. Returns the number of triangles found.
+// global-ID intersection, or translate once, mark the rows in the receive
+// marker and close every local endpoint's wedge with bit tests. Zero map
+// lookups and zero allocations per record either way. Returns the number of
+// triangles found.
 func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
 	lg := s.lg
 	nLoc := 0
@@ -140,38 +149,48 @@ func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOrie
 			nLoc++
 		}
 	}
-	fast := !s.lcc && !s.collect
 	switch {
 	case nLoc == 0:
 		return 0
-	case nLoc == 1 && fast:
-		partner := o.Out(first)
-		s.recvWork += uint64(len(list) + len(partner))
-		c := graph.CountIntersect(list, partner)
-		s.count += c
-		return c
+	case nLoc == 1 && !s.lcc && !s.collect:
+		return s.countOne(list, first, o)
 	}
-	rows, _ := lg.TranslateRows(&s.tr, list)
-	if fast {
-		var c uint64
-		for _, ur := range rows[:nLoc] {
-			s.recvWork += uint64(len(rows) + o.OutDegree(int32(ur)))
-			c += o.CountRowsWith(rows, int32(ur))
-		}
-		s.count += c
-		return c
+	return s.recvRows(v, list, o, nil)
+}
+
+// countOne is the single-endpoint fast path: one global-ID intersection of
+// the received list with A(ru), no row translation.
+func (s *countState) countOne(list []uint64, ru int32, o *graph.LocalOriented) uint64 {
+	partner := o.Out(ru)
+	s.recvWork += uint64(len(list) + len(partner))
+	c := graph.CountIntersect(list, partner)
+	s.count += c
+	return c
+}
+
+// recvRows translates a received list once, marks it in the receive marker,
+// and closes the wedge of every local endpoint ru it contains, skipping
+// those pr redirects away (pr may be nil).
+func (s *countState) recvRows(v graph.Vertex, list []uint64, o *graph.LocalOriented, pr *placeRun) uint64 {
+	lg := s.lg
+	rows, nLoc := lg.TranslateRows(&s.tr, list)
+	rv := int32(-1)
+	if s.lcc || s.collect {
+		// v is adjacent to a local vertex, so it is a row (ghost) here.
+		rv = lg.Row(v)
 	}
-	// v is adjacent to a local vertex, so it is a row (ghost) here.
-	rv := lg.Row(v)
+	m := &s.recvMark
+	o.MarkRows(m, rows)
 	var c uint64
 	for _, ur := range rows[:nLoc] {
 		ru := int32(ur)
+		if pr != nil && pr.redirectedAway(ru) {
+			continue
+		}
 		s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-		o.ForEachCommonRowsWith(rows, ru, func(w graph.Vertex) {
-			s.addRows(rv, ru, int32(w))
-			c++
-		})
+		c += s.closeWedge(m, o, rv, ru)
 	}
+	m.Clear()
 	return c
 }
 
@@ -185,39 +204,41 @@ func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.Lo
 	}
 	ru := int32(u - s.lg.First)
 	if !s.lcc && !s.collect {
-		partner := o.Out(ru)
-		s.recvWork += uint64(len(list) + len(partner))
-		c := graph.CountIntersect(list, partner)
+		return s.countOne(list, ru, o)
+	}
+	rows, _ := s.lg.TranslateRows(&s.tr, list)
+	m := &s.recvMark
+	o.MarkRows(m, rows)
+	s.recvWork += uint64(len(rows) + o.OutDegree(ru))
+	c := s.closeWedge(m, o, s.lg.Row(v), ru)
+	m.Clear()
+	return c
+}
+
+// closeWedge records the triangles closing the wedge (rv, ru) against the
+// list marked in m (A(rv), or a received list standing in for it): a count
+// when neither LCC nor collection is on, else one addRows per triangle.
+func (s *countState) closeWedge(m *graph.RowMarker, o *graph.LocalOriented, rv, ru int32) uint64 {
+	if !s.lcc && !s.collect {
+		c := o.CountMarked(m, ru)
 		s.count += c
 		return c
 	}
-	rows, _ := s.lg.TranslateRows(&s.tr, list)
-	rv := s.lg.Row(v)
 	var c uint64
-	s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-	o.ForEachCommonRowsWith(rows, ru, func(w graph.Vertex) {
+	o.ForEachMarked(m, ru, func(w graph.Vertex) {
 		s.addRows(rv, ru, int32(w))
 		c++
 	})
 	return c
 }
 
-// countWedgeRows records the triangles closing the wedge rooted at the
-// oriented edge (rv, ru): av is A(rv) in row space, hoisted by the caller
-// once per row, so each pair pays exactly one hub lookup plus the adaptive
-// kernel (bitmap tests, gallop, branchy merge).
-func (s *countState) countWedgeRows(av []uint64, rv, ru int32, o *graph.LocalOriented) uint64 {
-	if !s.lcc && !s.collect {
-		c := o.CountRowsWith(av, ru)
-		s.count += c
-		return c
-	}
-	var c uint64
-	o.ForEachCommonRowsWith(av, ru, func(w graph.Vertex) {
-		s.addRows(rv, ru, int32(w))
-		c++
-	})
-	return c
+// probeCounts returns the wedges this state and the states merged into it
+// closed through each branch of the row-marker engine.
+func (s *countState) probeCounts() graph.ProbeCounts {
+	p := s.probes
+	p.Add(s.mark.Probes())
+	p.Add(s.recvMark.Probes())
+	return p
 }
 
 // sideAdd records one LCC Δ increment for a vertex that may not be a row
@@ -274,6 +295,7 @@ func (s *countState) finish(out *peOutcome) {
 	out.count = s.count
 	out.finished = true
 	out.typeCounts = [3]uint64{s.t1, s.t2, s.t3}
+	out.probes = s.probeCounts()
 	out.triangles = s.triangles
 	if s.lcc {
 		out.deltas = make(map[graph.Vertex]uint64, s.lg.NLocal())
@@ -391,6 +413,7 @@ func mergeOutcomes(outcomes []*peOutcome, metrics []comm.Metrics, g *graph.Graph
 		for i := 0; i < 3; i++ {
 			res.TypeCounts[i] += out.typeCounts[i]
 		}
+		res.Probes.Add(out.probes)
 		res.Triangles = append(res.Triangles, out.triangles...)
 		for name, d := range out.phases {
 			if d > res.Phases[name] {

@@ -34,14 +34,13 @@ func tricBody(pe *dist.PE, pt *part.Partition, edges []graph.Edge, cfg Config, o
 		rv := int32(r)
 		v := lg.GID(rv)
 		av := ori.Out(rv)
-		avRows := ori.OutRows(rv)
+		if len(av) < 2 {
+			continue // a single out-neighbor cannot close a triangle
+		}
+		state.closeLocalWedges(ori, rv)
 		lastRank := -1
 		for _, u := range av {
 			if lg.IsLocal(u) {
-				state.countWedgeRows(avRows, rv, int32(u-lg.First), ori)
-				continue
-			}
-			if len(av) < 2 {
 				continue
 			}
 			if j := pt.Rank(u); j != lastRank {

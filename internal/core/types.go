@@ -111,13 +111,14 @@ type Config struct {
 	Indirect  bool // grid-based indirect delivery (the "2" variants)
 	Threads   int  // >1: hybrid counting phases (DITRIC/CETRIC) + parallel preprocessing (all algorithms)
 
-	// HubThreshold tunes the adaptive intersection engine: rows whose
-	// oriented neighborhood A(v) has at least this many entries get a packed
-	// hub bitmap, turning intersections against them into bit tests (and
-	// hub ∩ hub into word-AND + popcount). 0 picks
-	// graph.DefaultHubMinDegree; negative disables the bitmaps, leaving the
-	// branchless-merge and galloping kernels. Total bitmap memory is capped
-	// at the size of the A-lists themselves regardless of the threshold.
+	// HubThreshold tunes the hub-bitmap index of the row-marker engine:
+	// rows whose oriented neighborhood A(v) has at least this many entries
+	// get a packed hub bitmap, so a wedge against such a row can probe the
+	// shorter marked list against it instead of probing the long A-list
+	// against the row marker. 0 picks graph.DefaultHubMinDegree; negative
+	// disables the bitmaps, leaving every wedge on the row marker. Total
+	// bitmap memory is capped at the size of the A-lists themselves
+	// regardless of the threshold.
 	HubThreshold int
 
 	// Overlap replaces the barrier-separated local → global execution with
@@ -235,6 +236,11 @@ type Result struct {
 	// baselines leave it zero.
 	TypeCounts [3]uint64
 
+	// Probes counts the wedges the row-marker engine closed per branch
+	// (hub-bitmap probe or marker probe), summed over PEs, local and
+	// receive paths (DITRIC, CETRIC and TriC).
+	Probes graph.ProbeCounts
+
 	// Deltas holds per-vertex triangle counts Δ(v) (global indexing) when
 	// Config.LCC is set.
 	Deltas []uint64
@@ -289,6 +295,7 @@ func (p *PartialInfo) Fraction() float64 {
 type peOutcome struct {
 	count      uint64
 	typeCounts [3]uint64
+	probes     graph.ProbeCounts
 	deltas     map[graph.Vertex]uint64 // global ID -> Δ contribution (local rows only after postprocess)
 	triangles  [][3]graph.Vertex
 	phases     map[string]time.Duration

@@ -64,17 +64,21 @@ func TestHubBitmapCountsMatchFixtures(t *testing.T) {
 			if minDeg >= 0 {
 				o.BuildHubs(minDeg)
 			}
-			var viaCount, viaEach uint64
+			var viaCount, viaEach, viaRow, viaRowEach uint64
+			var m graph.RowMarker
 			for v := 0; v < g.NumVertices(); v++ {
 				nv := o.Out(graph.Vertex(v))
 				for _, u := range nv {
 					viaCount += o.CountListWith(nv, u)
 					viaEach += o.CountPair(graph.Vertex(v), u)
 				}
+				viaRow += o.CountRow(&m, graph.Vertex(v))
+				o.ForEachRowTriangle(&m, graph.Vertex(v), func(u, w graph.Vertex) { viaRowEach++ })
 			}
-			if viaCount != fix.Triangles || viaEach != fix.Triangles {
-				t.Errorf("%s minDeg=%d: CountListWith=%d CountPair=%d, want %d",
-					fix.Name, minDeg, viaCount, viaEach, fix.Triangles)
+			if viaCount != fix.Triangles || viaEach != fix.Triangles ||
+				viaRow != fix.Triangles || viaRowEach != fix.Triangles {
+				t.Errorf("%s minDeg=%d: CountListWith=%d CountPair=%d CountRow=%d ForEachRowTriangle=%d, want %d",
+					fix.Name, minDeg, viaCount, viaEach, viaRow, viaRowEach, fix.Triangles)
 			}
 		}
 	}
@@ -82,9 +86,10 @@ func TestHubBitmapCountsMatchFixtures(t *testing.T) {
 
 // TestRowSpaceCountsMatchFixtures distributes every fixture over 4 PEs and
 // recounts type-1/2 triangles per PE through the row-translated layout
-// (OutRows + CountRowsWith + ForEachCommonRowsWith), checking it against the
+// (OutRows + CountRowsWith + the row-marker engine), checking it against the
 // global-ID layout pair by pair — the translation must be an exact
-// relabeling of every A-list.
+// relabeling of every A-list, and the marker's local/ghost split must match
+// the owners of the common neighbors.
 func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 	for _, fix := range testgraph.All {
 		g := fix.Build()
@@ -100,6 +105,7 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 			}
 			ori := graph.OrientLocal(lg)
 			ori.BuildHubs(1) // force bitmaps everywhere they fit
+			var m graph.RowMarker
 			for r := 0; r < lg.Rows(); r++ {
 				rv := int32(r)
 				// Row-space lists must be exact relabelings of the global ones.
@@ -119,21 +125,33 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 						t.Fatalf("%s rank %d row %d: %d missing from row translation", fix.Name, rank, r, u)
 					}
 				}
+				ori.MarkRows(&m, avRows)
 				for _, ur := range avRows {
 					ru := int32(ur)
 					want := graph.CountMerge(av, ori.Out(ru))
+					var wantLocal uint64
+					graph.ForEachCommon(av, ori.Out(ru), func(w graph.Vertex) {
+						if lg.IsLocal(w) {
+							wantLocal++
+						}
+					})
 					if got := ori.CountRowsWith(avRows, ru); got != want {
 						t.Fatalf("%s rank %d (%d,%d): CountRowsWith=%d, want %d", fix.Name, rank, r, ru, got, want)
 					}
-					var each uint64
-					ori.ForEachCommonRowsWith(avRows, ru, func(graph.Vertex) { each++ })
-					if each != want {
-						t.Fatalf("%s rank %d (%d,%d): ForEachCommonRowsWith=%d, want %d", fix.Name, rank, r, ru, each, want)
+					if got := ori.CountMarked(&m, ru); got != want {
+						t.Fatalf("%s rank %d (%d,%d): CountMarked=%d, want %d", fix.Name, rank, r, ru, got, want)
 					}
-					if got := ori.CountRowPair(rv, ru); got != want {
-						t.Fatalf("%s rank %d (%d,%d): CountRowPair=%d, want %d", fix.Name, rank, r, ru, got, want)
+					if loc, gho := ori.CountMarkedSplit(&m, ru); loc != wantLocal || loc+gho != want {
+						t.Fatalf("%s rank %d (%d,%d): CountMarkedSplit=(%d,%d), want (%d,%d)",
+							fix.Name, rank, r, ru, loc, gho, wantLocal, want-wantLocal)
+					}
+					var each uint64
+					ori.ForEachMarked(&m, ru, func(graph.Vertex) { each++ })
+					if each != want {
+						t.Fatalf("%s rank %d (%d,%d): ForEachMarked=%d, want %d", fix.Name, rank, r, ru, each, want)
 					}
 				}
+				m.Clear()
 			}
 		}
 	}

@@ -142,7 +142,60 @@ func FuzzIntersectKernels(f *testing.F) {
 		if and != want {
 			t.Fatalf("bitmap ForEachAnd = %d, merge = %d", and, want)
 		}
+		// Row-marker engine: mark each side in turn and probe the other,
+		// without a hub bitmap (marker branch) and with one (hub branch
+		// when the marked side is the shorter one).
+		var m RowMarker
+		checkMarker(t, &m, a, b, bs, int(domain), want)
+		checkMarker(t, &m, b, a, ba, int(domain), want)
 	})
+}
+
+// checkMarker marks marked in m, probes list without and with its hub
+// bitmap, and checks the count, split and enumerate variants against the
+// merge oracle want, the branch each probe took, and that Clear leaves
+// every marker word zero.
+func checkMarker(t *testing.T, m *RowMarker, marked, list []Vertex, hub Bitset, domain int, want uint64) {
+	t.Helper()
+	split := Vertex(domain / 2)
+	var wantLo uint64
+	ForEachCommon(marked, list, func(x Vertex) {
+		if x < split {
+			wantLo++
+		}
+	})
+	m.Mark(marked, domain)
+	for _, h := range []Bitset{nil, hub} {
+		before := m.Probes()
+		if got := m.Count(list, h); got != want {
+			t.Fatalf("marker Count (hub=%v) = %d, merge = %d (marked=%v list=%v)", h != nil, got, want, marked, list)
+		}
+		after := m.Probes()
+		if hubBranch := h != nil && len(marked) < len(list); hubBranch != (after.Hub == before.Hub+1) ||
+			after.Hub+after.Marker != before.Hub+before.Marker+1 {
+			t.Fatalf("marker Count (hub=%v, |marked|=%d, |list|=%d) took the wrong branch: %+v -> %+v",
+				h != nil, len(marked), len(list), before, after)
+		}
+		if lo, hi := m.CountSplit(list, h, split); lo != wantLo || lo+hi != want {
+			t.Fatalf("marker CountSplit (hub=%v) = (%d,%d), want (%d,%d)", h != nil, lo, hi, wantLo, want-wantLo)
+		}
+		var got []Vertex
+		m.ForEach(list, h, func(x Vertex) { got = append(got, x) })
+		if uint64(len(got)) != want || !slices.IsSorted(got) {
+			t.Fatalf("marker ForEach (hub=%v) = %v, want %d ascending elements", h != nil, got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] == got[i-1] {
+				t.Fatalf("marker ForEach (hub=%v) repeated %d", h != nil, got[i])
+			}
+		}
+	}
+	m.Clear()
+	for i, w := range m.bits {
+		if w != 0 {
+			t.Fatalf("marker word %d = %#x after Clear", i, w)
+		}
+	}
 }
 
 // sortedFromBytes maps fuzz bytes to a strictly ascending vertex slice

@@ -68,13 +68,17 @@ func BenchmarkHubRows(b *testing.B) {
 
 // BenchmarkAdaptiveIntersectSteadyState is the allocation-regression gate
 // for the compute side: a full adaptive EDGE ITERATOR pass (hub bitmaps,
-// galloping, merge) over a degree-oriented graph must report 0 allocs/op.
-// The index is built before the timer starts; the counting loop itself owns
-// no memory.
+// galloping, merge) over a degree-oriented graph must report 0 allocs/op,
+// and so must the rowmarker sub-benchmark — the same pass over both graphs
+// through the row-marker engine, as SeqCount runs it. The indexes and the
+// marker are built before the timer starts; the counting loops themselves
+// own no memory.
 func BenchmarkAdaptiveIntersectSteadyState(b *testing.B) {
+	var oris []*graph.OutGraph
 	for _, spec := range hubBenchGraphs() {
 		o := graph.Orient(spec.g)
 		o.BuildHubs(graph.DefaultHubMinDegree)
+		oris = append(oris, o)
 		n := spec.g.NumVertices()
 		b.Run(spec.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -89,12 +93,35 @@ func BenchmarkAdaptiveIntersectSteadyState(b *testing.B) {
 			hubSink = sink
 		})
 	}
+	b.Run("rowmarker", func(b *testing.B) {
+		var m graph.RowMarker
+		rowMarkerPass(oris, &m) // sizes the marker
+		b.ResetTimer()
+		b.ReportAllocs()
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			sink += rowMarkerPass(oris, &m)
+		}
+		hubSink = sink
+	})
 }
 
-// BenchmarkLocalOrientedCount compares the row-translated local phase
-// (CountRowPair over OutRows) against the global-ID layout it replaced
-// (CountMerge over Out with a Row lookup per element) on one PE of a p=8
-// partition — the hot loop of CETRIC's local phase.
+// rowMarkerPass counts the triangles of every graph through m.
+func rowMarkerPass(oris []*graph.OutGraph, m *graph.RowMarker) uint64 {
+	var count uint64
+	for _, o := range oris {
+		for v := 0; v < o.NumVertices(); v++ {
+			count += o.CountRow(m, graph.Vertex(v))
+		}
+	}
+	return count
+}
+
+// BenchmarkLocalOrientedCount compares CETRIC's local-phase hot loop on one
+// PE of a p=8 partition in three shapes: the global-ID layout (CountMerge
+// over Out with a Row lookup per element), per-pair row-space dispatch
+// (CountRowsWith over OutRows), and the row-marker engine the local phase
+// runs.
 func BenchmarkLocalOrientedCount(b *testing.B) {
 	for _, spec := range hubBenchGraphs() {
 		pt, lg := buildLocalForBench(spec.g, 8, 3)
@@ -125,6 +152,25 @@ func BenchmarkLocalOrientedCount(b *testing.B) {
 					for _, ur := range av {
 						sink += ori.CountRowsWith(av, int32(ur))
 					}
+				}
+			}
+			hubSink = sink
+		})
+		b.Run(spec.name+"/row-marker", func(b *testing.B) {
+			var m graph.RowMarker
+			b.ReportAllocs()
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					av := ori.OutRows(int32(r))
+					if len(av) < 2 {
+						continue
+					}
+					ori.MarkRows(&m, av)
+					for _, ur := range av {
+						sink += ori.CountMarked(&m, int32(ur))
+					}
+					m.Clear()
 				}
 			}
 			hubSink = sink

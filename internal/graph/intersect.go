@@ -11,13 +11,15 @@ import "math/bits"
 //     instead of branches, so random interleavings pay no mispredictions.
 //   - CountGallop: exponential + binary search of each element of the
 //     smaller slice in the larger one — wins on skewed operand sizes.
-//   - Bitset.CountList / Bitset.CountAnd: the packed hub-bitmap kernel —
-//     membership tests (or word-AND + popcount) against a precomputed
-//     bitset; see the hub index in oriented.go / order.go.
+//   - Bitset.CountList / Bitset.CountAnd: membership tests (or word-AND +
+//     popcount) against a bitset — a precomputed hub bitmap (see the hub
+//     index in oriented.go) or the per-row marker of marker.go.
 //
-// CountIntersect dispatches per pair between the branchless merge and
-// galloping; the bitmap kernel needs a build-time index and is dispatched by
-// the hub-aware methods of LocalOriented and OutGraph.
+// CountIntersect dispatches per pair between the branchy merge and
+// galloping; it serves the global-ID paths (single-endpoint receive
+// records, TriC-style per-edge records, surrogate scans, stream deltas).
+// Wedge sweeps in row or vertex space go through the row-marker engine
+// (marker.go), which closes every wedge with bit tests.
 
 // gallopRatio is the size skew |b|/|a| beyond which galloping beats merging:
 // merge is O(|a|+|b|), galloping O(|a|·log|b|).

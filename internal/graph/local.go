@@ -381,8 +381,8 @@ func (l *LocalGraph) ghostSearch(x Vertex, from int) (int, bool) {
 // exponential + binary search, returning the insertion index and whether x
 // is present. Callers scanning an ascending probe sequence pass the
 // previous hit + 1 as from, so a whole scan costs O(k log gap) array
-// probes. Shared by the ghost machinery and the streaming builder's
-// staged-batch subtraction.
+// probes. Shared by the ghost machinery, the streaming builder's
+// staged-batch subtraction and the row marker's local/ghost split.
 func searchFrom(s []Vertex, x Vertex, from int) (int, bool) {
 	lo, hi := from, from
 	step := 1

@@ -44,9 +44,10 @@ func (o *OutGraph) NumHubs() int { return o.hubs.hubs }
 // HubBitset returns the packed bitmap of a hub vertex, or nil.
 func (o *OutGraph) HubBitset(v Vertex) Bitset { return o.hubs.bitset(int(v)) }
 
-// CountListWith returns |list ∩ N⁺(u)| for an ascending vertex list — the
-// hoisted-first-operand hot path: callers slice N⁺(v) once per row and pay
-// one hub lookup per pair.
+// CountListWith returns |list ∩ N⁺(u)| for an ascending vertex list,
+// dispatching to u's hub bitmap when it has one and to the adaptive
+// merge/gallop kernels otherwise. It needs no marker, so it serves one-off
+// pairs; wedge sweeps go through the row-marker engine (marker.go).
 func (o *OutGraph) CountListWith(list []Vertex, u Vertex) uint64 {
 	if bu := o.hubs.bitset(int(u)); bu != nil {
 		return bu.CountList(list)
@@ -54,18 +55,8 @@ func (o *OutGraph) CountListWith(list []Vertex, u Vertex) uint64 {
 	return CountIntersect(list, o.Out(u))
 }
 
-// ForEachCommonListWith calls fn for every element of list ∩ N⁺(u),
-// ascending.
-func (o *OutGraph) ForEachCommonListWith(list []Vertex, u Vertex, fn func(Vertex)) {
-	if bu := o.hubs.bitset(int(u)); bu != nil {
-		bu.ForEachCommonList(list, fn)
-		return
-	}
-	ForEachCommon(list, o.Out(u), fn)
-}
-
 // CountPair returns |N⁺(v) ∩ N⁺(u)|, dispatching between the hub-bitmap,
-// galloping, and branchless-merge kernels per pair.
+// galloping, and merge kernels per pair.
 func (o *OutGraph) CountPair(v, u Vertex) uint64 {
 	bv, bu := o.hubs.bitset(int(v)), o.hubs.bitset(int(u))
 	switch {

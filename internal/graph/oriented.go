@@ -30,15 +30,16 @@ type LocalOriented struct {
 	hubs   hubIndex
 }
 
-// DefaultHubMinDegree is the out-degree above which a row gets a packed
-// bitmap in BuildHubs when the caller does not tune the threshold. Degree
-// orientation keeps out-lists short (the top A-lists of the RGG/RHG
-// fixtures are in the tens, not hundreds), so the default is deliberately
-// low: the bitmap kernel already beats the merge at equal operand sizes
-// (BenchmarkIntersect), rows this heavy are intersected once per in-edge so
-// the O(stride) build cost amortizes, and the memory cap in BuildHubs
-// bounds the total bitmap footprint to the size of the A-lists themselves
-// regardless of the threshold.
+// DefaultHubMinDegree is the out-degree from which a row gets a packed
+// bitmap in BuildHubs when the caller does not tune the threshold. In the
+// row-marker engine (marker.go) a hub bitmap lets the wedge (v, u) probe the
+// shorter A(v) against u's bitmap instead of the longer A(u) against v's
+// marker, so it pays off exactly for long lists; rows this heavy are probed
+// once per in-edge, so the O(stride) build amortizes, and the memory cap in
+// BuildHubs bounds the total bitmap footprint to the size of the A-lists
+// themselves regardless of the threshold. With the index disabled (a
+// threshold ≤ 0 here, -hub -1 on the command line) wedge sweeps probe every
+// A(u) against the row marker; they never fall back to a merge.
 const DefaultHubMinDegree = 32
 
 // hubIndex maps heavy rows to packed bitsets over the row domain, so
@@ -306,47 +307,13 @@ func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(r
 
 // CountRowsWith returns |list ∩ A(row)| where list is an ascending slice of
 // row indices, dispatching to the hub bitmap when row carries one and to the
-// adaptive merge/gallop kernels otherwise.
+// adaptive merge/gallop kernels otherwise. It needs no marker, so it serves
+// one-off pairs; wedge sweeps go through the row-marker engine (marker.go).
 func (o *LocalOriented) CountRowsWith(list []Vertex, row int32) uint64 {
 	if bs := o.hubs.bitset(int(row)); bs != nil {
 		return bs.CountList(list)
 	}
 	return CountIntersect(list, o.OutRows(row))
-}
-
-// ForEachCommonRowsWith calls fn for every row index in list ∩ A(row),
-// ascending (the enumeration twin of CountRowsWith, for the Δ/collect path).
-func (o *LocalOriented) ForEachCommonRowsWith(list []Vertex, row int32, fn func(Vertex)) {
-	if bs := o.hubs.bitset(int(row)); bs != nil {
-		bs.ForEachCommonList(list, fn)
-		return
-	}
-	ForEachCommon(list, o.OutRows(row), fn)
-}
-
-// CountRowPair returns |A(a) ∩ A(b)| in row space. Hub pairs use word-AND +
-// popcount when both lists are longer than the bitmap stride (otherwise bit
-// tests over the shorter list win); single hubs use bit tests; the rest goes
-// to the adaptive merge/gallop kernels.
-func (o *LocalOriented) CountRowPair(a, b int32) uint64 {
-	ba, bb := o.hubs.bitset(int(a)), o.hubs.bitset(int(b))
-	switch {
-	case ba != nil && bb != nil:
-		la, lb := o.OutDegree(a), o.OutDegree(b)
-		if min(la, lb) < o.hubs.stride {
-			if la <= lb {
-				return bb.CountList(o.OutRows(a))
-			}
-			return ba.CountList(o.OutRows(b))
-		}
-		return ba.CountAnd(bb)
-	case bb != nil:
-		return bb.CountList(o.OutRows(a))
-	case ba != nil:
-		return ba.CountList(o.OutRows(b))
-	default:
-		return CountIntersect(o.OutRows(a), o.OutRows(b))
-	}
 }
 
 // Contract applies the contraction step (Algorithm 3, line 8): for every

@@ -109,13 +109,13 @@ type Options struct {
 	// SparseDegreeExchange uses the asynchronous sparse all-to-all for the
 	// ghost-degree exchange.
 	SparseDegreeExchange bool
-	// HubThreshold tunes the adaptive intersection engine: rows whose
-	// oriented neighborhood A(v) has at least this many entries carry a
-	// packed hub bitmap, turning intersections against them into bit tests
-	// (hub ∩ hub into word-AND + popcount). 0 picks the engine default,
-	// negative disables the bitmaps; total bitmap memory is always capped at
-	// the size of the A-lists themselves. See the README's "hot path &
-	// kernel selection" section for tuning guidance.
+	// HubThreshold tunes the hub-bitmap index of the row-marker engine:
+	// rows whose oriented neighborhood A(v) has at least this many entries
+	// carry a packed hub bitmap, so wedges against them probe the shorter
+	// marked list against it. 0 picks the engine default, negative disables
+	// the bitmaps (every wedge then probes the row marker); total bitmap
+	// memory is always capped at the size of the A-lists themselves. See the
+	// README's "hot path & kernel selection" section for tuning guidance.
 	HubThreshold int
 	// BatchSize is the edge batch granularity of the streaming entry points
 	// (Stream); ≤ 0 picks max(1024, m/8). Count ignores it.
