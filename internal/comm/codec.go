@@ -70,6 +70,9 @@ func (rawCodec) AppendDecoded(dst []uint64, data []byte) ([]uint64, error) {
 	if len(data)%8 != 0 {
 		return dst, fmt.Errorf("comm: raw payload length %d is not a multiple of 8", len(data))
 	}
+	if cap(dst)-len(dst) < len(data)/8 {
+		dst = append(make([]uint64, 0, len(dst)+len(data)/8), dst...)
+	}
 	for i := 0; i < len(data); i += 8 {
 		dst = append(dst, binary.LittleEndian.Uint64(data[i:]))
 	}
@@ -88,6 +91,18 @@ func (varintCodec) AppendEncoded(dst []byte, words []uint64) []byte {
 }
 
 func (varintCodec) AppendDecoded(dst []uint64, data []byte) ([]uint64, error) {
+	// A word takes at least one byte, so len(data) spare words always
+	// suffice. Short of that, count the varints — each ends in exactly one
+	// byte below 0x80 — so dst grows at most once, to the exact size.
+	if cap(dst)-len(dst) < len(data) {
+		words := 0
+		for _, c := range data {
+			if c < 0x80 {
+				words++
+			}
+		}
+		dst = append(make([]uint64, 0, len(dst)+words), dst...)
+	}
 	for len(data) > 0 {
 		w, n := binary.Uvarint(data)
 		if n <= 0 {

@@ -59,6 +59,13 @@ func TestCodecRoundTrip(t *testing.T) {
 				if dec2[0] != 42 || !slices.Equal(dec2[1:], words) {
 					t.Fatalf("append decode clobbered destination: %v", dec2)
 				}
+				// Raw and varint size the destination from the payload, so
+				// decoding into nil grows it exactly once.
+				if c != DeltaVarint && len(words) > 0 {
+					if allocs := testing.AllocsPerRun(10, func() { dec, _ = c.AppendDecoded(nil, enc) }); allocs != 1 {
+						t.Fatalf("AppendDecoded(nil) made %v allocations, want 1", allocs)
+					}
+				}
 			})
 		}
 	}

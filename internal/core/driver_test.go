@@ -1,10 +1,13 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/part"
+	"repro/internal/transport"
 )
 
 func TestRunRejectsUnknownAlgorithm(t *testing.T) {
@@ -116,5 +119,64 @@ func TestWallClockPopulated(t *testing.T) {
 	}
 	if res.Wall <= 0 {
 		t.Fatal("wall time not recorded")
+	}
+}
+
+// runRanks runs every rank of a p-process cluster as a goroutine over the
+// in-process network and returns each rank's count and error.
+func runRanks(t *testing.T, algo Algorithm, g *graph.Graph, p int, cfg Config) ([]uint64, []error) {
+	t.Helper()
+	net := transport.NewChanNetwork(p)
+	defer net.Close()
+	counts, errs := make([]uint64, p), make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		ep, err := net.Endpoint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(r int, ep transport.Endpoint) {
+			defer wg.Done()
+			counts[r], _, errs[r] = RunRank(algo, g, cfg, ep)
+		}(r, ep)
+	}
+	wg.Wait()
+	return counts, errs
+}
+
+// TestRunRank drives the per-rank entry point the multi-process cluster
+// uses: every rank of TK2D and DITRIC at p=4 agrees on SeqCount, and TK2D
+// rejects the configs Run rejects, with the same errors.
+func TestRunRank(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(9, 23))
+	want := SeqCount(g)
+	for _, algo := range []Algorithm{AlgoTK2D, AlgoDiTric} {
+		counts, errs := runRanks(t, algo, g, 4, Config{})
+		for r := range counts {
+			if errs[r] != nil {
+				t.Fatalf("%s rank %d: %v", algo, r, errs[r])
+			}
+			if counts[r] != want {
+				t.Errorf("%s rank %d: count %d, want %d", algo, r, counts[r], want)
+			}
+		}
+	}
+	for name, cfg := range map[string]Config{
+		"codec":     {Codec: "bogus"},
+		"lcc":       {LCC: true},
+		"partition": {Partition: part.Uniform(uint64(g.NumVertices()), 4)},
+	} {
+		cfg.P = 4
+		_, runErr := Run(AlgoTK2D, g, cfg)
+		if runErr == nil {
+			t.Fatalf("%s: Run accepted the config", name)
+		}
+		_, errs := runRanks(t, AlgoTK2D, g, 4, cfg)
+		for r, err := range errs {
+			if err == nil || err.Error() != runErr.Error() {
+				t.Errorf("%s rank %d: RunRank error %v, Run's %v", name, r, err, runErr)
+			}
+		}
 	}
 }

@@ -22,9 +22,10 @@ import (
 // (a, k mod c) broadcasts its round-k stripe along row a, the PE at
 // (k mod r, b) broadcasts its TRANSPOSED stripe down column b, and every
 // PE (a,b) closes the wedges i→v→j with v ≡ k (mod L) against its own
-// edges (i,j) using the same adaptive merge/gallop/hub-bitmap kernels as
-// the 1D counters. On square grids every stripe is a whole block and the
-// schedule (and wire) reduces to the original √p-round one.
+// edges (i,j) through the same row-marker engine as the 1D counters: each
+// own row i marks its round stripe A(i) once and probes every B(j) against
+// it (graph.Block.CountRow). On square grids every stripe is a whole block
+// and the schedule (and wire) reduces to the original √p-round one.
 //
 // The communication trade is the point: a PE ships its ~|E|/p-edge block
 // (c−1)+(r−1) block-equivalents — O(|E|/√p) volume to O(√p) neighbors —
@@ -46,17 +47,11 @@ func runTK2D(g *graph.Graph, cfg Config) (*Result, error) {
 	if cfg.P <= 0 {
 		return nil, fmt.Errorf("core: config needs P > 0")
 	}
-	if cfg.LCC {
-		return nil, fmt.Errorf("core: LCC is only supported by DITRIC/CETRIC, not %s", AlgoTK2D)
-	}
-	if cfg.Partition != nil {
-		return nil, fmt.Errorf("core: %s uses the 2D block partition; a 1D Partition cannot be applied", AlgoTK2D)
+	if err := validateTK2D(cfg); err != nil {
+		return nil, err
 	}
 	g2, err := part.NewGrid2D(uint64(g.NumVertices()), cfg.P)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := channelCodecs(cfg.Codec); err != nil {
 		return nil, err
 	}
 	threshold := cfg.Threshold
@@ -90,12 +85,30 @@ func runTK2D(g *graph.Graph, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// validateTK2D rejects the configs the 2D geometry cannot run: LCC, a 1D
+// partition override and an unknown codec policy. runTK2D and runRankTK2D
+// both call it, so one process and a cluster reject the same configs with
+// the same errors.
+func validateTK2D(cfg Config) error {
+	if cfg.LCC {
+		return fmt.Errorf("core: LCC is only supported by DITRIC/CETRIC, not %s", AlgoTK2D)
+	}
+	if cfg.Partition != nil {
+		return fmt.Errorf("core: %s uses the 2D block partition; a 1D Partition cannot be applied", AlgoTK2D)
+	}
+	_, err := channelCodecs(cfg.Codec)
+	return err
+}
+
 // runRankTK2D is the multi-process (one rank per process) variant, the 2D
 // analogue of RunRank's 1D path: every process rebuilds the input
 // deterministically and keeps only its block.
 func runRankTK2D(g *graph.Graph, cfg Config, ep transport.Endpoint) (uint64, comm.Metrics, error) {
 	cfg = cfg.withDefaults()
 	cfg.P = ep.Size()
+	if err := validateTK2D(cfg); err != nil {
+		return 0, comm.Metrics{}, err
+	}
 	g2, err := part.NewGrid2D(uint64(g.NumVertices()), cfg.P)
 	if err != nil {
 		return 0, comm.Metrics{}, err
@@ -242,7 +255,10 @@ func tk2dBody(pe *dist.PE, g2 *part.Grid2D, edges []graph.Edge, cfg Config, out 
 	}
 
 	hubMin := cfg.hubMinDegree()
+	// One marker per worker: the round's counting runs no receive handlers,
+	// so nothing re-enters a worker while its row is marked.
 	type tk2dWorker struct {
+		mark  graph.RowMarker
 		count uint64
 		tris  [][3]graph.Vertex
 	}
@@ -251,44 +267,15 @@ func tk2dBody(pe *dist.PE, g2 *part.Grid2D, edges []graph.Edge, cfg Config, out 
 		graph.ParallelFor(cfg.Threads, own.NRows(), func(w, lo, hi int) {
 			ws := &workers[w]
 			for rel := lo; rel < hi; rel++ {
-				js := own.Row(rel)
-				if len(js) == 0 {
+				if !cfg.Collect {
+					ws.count += own.CountRow(&ws.mark, rel, A, B)
 					continue
 				}
-				ai := A.Row(rel)
-				if len(ai) == 0 {
-					continue
-				}
-				ha := A.Hub(rel)
-				for _, relJ := range js {
-					bj := B.Row(int(relJ))
-					if len(bj) == 0 {
-						continue
-					}
-					if cfg.Collect {
-						i := g2.GIDRow(a, uint64(rel))
-						j := g2.GIDCol(b, relJ)
-						graph.ForEachCommon(ai, bj, func(v graph.Vertex) {
-							ws.count++
-							ws.tris = append(ws.tris, [3]graph.Vertex{i, g2.GIDRound(k, v), j})
-						})
-						continue
-					}
-					switch {
-					case ha != nil:
-						if hb := B.Hub(int(relJ)); hb != nil {
-							ws.count += ha.CountAnd(hb)
-						} else {
-							ws.count += ha.CountList(bj)
-						}
-					default:
-						if hb := B.Hub(int(relJ)); hb != nil {
-							ws.count += hb.CountList(ai)
-						} else {
-							ws.count += graph.CountIntersect(ai, bj)
-						}
-					}
-				}
+				i := g2.GIDRow(a, uint64(rel))
+				own.ForEachRowTriangle(&ws.mark, rel, A, B, func(relJ, v graph.Vertex) {
+					ws.count++
+					ws.tris = append(ws.tris, [3]graph.Vertex{i, g2.GIDRound(k, v), g2.GIDCol(b, relJ)})
+				})
 			}
 		})
 	}
@@ -314,7 +301,6 @@ func tk2dBody(pe *dist.PE, g2 *part.Grid2D, edges []graph.Edge, cfg Config, out 
 		if err != nil {
 			return err
 		}
-		A.BuildHubs(hubMin, cfg.Threads)
 		B.BuildHubs(hubMin, cfg.Threads)
 
 		sw.phase(PhaseLocal)
@@ -331,6 +317,7 @@ func tk2dBody(pe *dist.PE, g2 *part.Grid2D, edges []graph.Edge, cfg Config, out 
 	for i := range workers {
 		out.count += workers[i].count
 		out.triangles = append(out.triangles, workers[i].tris...)
+		out.probes.Add(workers[i].mark.Probes())
 	}
 	out.partialCount = out.count
 	out.finished = true

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/testgraph"
 )
@@ -53,22 +55,87 @@ func TestTK2DMatches1DCounters(t *testing.T) {
 	}
 }
 
-// TestTK2DHubKernels drives the block hub-bitmap path explicitly: a
-// threshold of 1 turns every non-empty row into a hub (all intersections go
-// through CountAnd/CountList), and a negative threshold disables bitmaps
-// entirely (all merge/gallop). Counts must not move.
+// TestTK2DHubKernels drives both branches of the row-marker engine on the
+// 2D blocks: a threshold of 1 gives every non-empty B row a hub bitmap (up
+// to the memory cap), so wedges whose B row is longer than the marked A row
+// probe the bitmap; a negative threshold disables bitmaps and every wedge
+// probes the marker; 0 is the default index. Counts must equal SeqCount and
+// collected triangles SeqEnumerate's set, on square and rectangular grids,
+// blocking and pipelined. The probe counters guard against a vacuous pass.
 func TestTK2DHubKernels(t *testing.T) {
-	for _, tg := range testgraph.All {
-		for _, hub := range []int{-1, 1} {
-			res, err := Run(AlgoTK2D, tg.Build(), Config{P: 4, HubThreshold: hub})
-			if err != nil {
-				t.Fatalf("%s hub=%d: %v", tg.Name, hub, err)
+	type named struct {
+		name string
+		g    *graph.Graph
+	}
+	graphs := []named{{"rmat-12", gen.RMAT(gen.DefaultRMAT(12, 7))}}
+	for _, fix := range testgraph.All {
+		graphs = append(graphs, named{fix.Name, fix.Build()})
+	}
+	ps := []int{1, 2, 3, 4, 6, 9}
+	if testing.Short() {
+		ps = []int{1, 3, 4, 6}
+	}
+	for _, ng := range graphs {
+		want := SeqCount(ng.g)
+		var tris [][3]uint64
+		SeqEnumerate(ng.g, func(v, u, w graph.Vertex) {
+			tris = append(tris, [3]uint64{v, u, w})
+		})
+		oracle := triangleKeys(t, tris)
+		for _, hub := range []int{-1, 0, 1} {
+			var probes graph.ProbeCounts
+			for _, p := range ps {
+				for _, threads := range []int{1, 4} {
+					for _, overlap := range []bool{false, true} {
+						for _, collect := range []bool{false, true} {
+							name := fmt.Sprintf("%s/hub=%d/p=%d/threads=%d/overlap=%v/collect=%v",
+								ng.name, hub, p, threads, overlap, collect)
+							res, err := Run(AlgoTK2D, ng.g, Config{P: p, Threads: threads,
+								Overlap: overlap, Collect: collect, HubThreshold: hub})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if res.Count != want {
+								t.Fatalf("%s: count %d, want %d", name, res.Count, want)
+							}
+							if collect && !slices.Equal(triangleKeys(t, res.Triangles), oracle) {
+								t.Fatalf("%s: collected %d triangles, not SeqEnumerate's %d",
+									name, len(res.Triangles), len(oracle))
+							}
+							if hub < 0 && res.Probes.Hub != 0 {
+								t.Fatalf("%s: hub index disabled but %d hub probes", name, res.Probes.Hub)
+							}
+							if want > 0 && res.Probes == (graph.ProbeCounts{}) {
+								t.Fatalf("%s: %d triangles but no wedge probed", name, want)
+							}
+							probes.Add(res.Probes)
+						}
+					}
+				}
 			}
-			if res.Count != tg.Triangles {
-				t.Errorf("%s hub=%d: count %d, want %d", tg.Name, hub, res.Count, tg.Triangles)
+			if ng.name == "rmat-12" && (probes.Marker == 0 || (hub == 1 && probes.Hub == 0)) {
+				t.Errorf("%s hub=%d: probes %+v; want the marker branch, and at threshold 1 the hub branch, exercised",
+					ng.name, hub, probes)
 			}
 		}
 	}
+}
+
+// triangleKeys packs each triangle's sorted corners into one word (21 bits
+// per corner) and sorts the keys, so triangle sets from different corner
+// orders compare with slices.Equal.
+func triangleKeys(t *testing.T, tris [][3]uint64) []uint64 {
+	t.Helper()
+	keys := make([]uint64, len(tris))
+	for i, tr := range tris {
+		slices.Sort(tr[:])
+		if tr[2] >= 1<<21 {
+			t.Fatalf("triangle %v: corner too large to pack", tr)
+		}
+		keys[i] = tr[0]<<42 | tr[1]<<21 | tr[2]
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestTK2DCollect checks the collected triangle set equals the oracle's —

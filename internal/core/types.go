@@ -238,7 +238,7 @@ type Result struct {
 
 	// Probes counts the wedges the row-marker engine closed per branch
 	// (hub-bitmap probe or marker probe), summed over PEs, local and
-	// receive paths (DITRIC, CETRIC and TriC).
+	// receive paths (DITRIC, CETRIC and TriC) and TK2D's block rows.
 	Probes graph.ProbeCounts
 
 	// Deltas holds per-vertex triangle counts Δ(v) (global indexing) when

@@ -250,7 +250,8 @@ func (b *Block) Transpose(threads int) *Block {
 // order-preserving map), dropping rows that come up empty. round becomes
 // dst's entry band and domain its entry domain (the round band's size).
 // dst's off/col capacity is reused, so the steady-state exchange extracts
-// without allocating. For stride 1 the stripe equals the whole block;
+// without allocating; a short col grows once, to the block's NNZ (the
+// stripe's upper bound). For stride 1 the stripe equals the whole block;
 // callers skip the copy and use the block directly.
 func (b *Block) StripeInto(dst *Block, round, residue, stride, domain int) {
 	nRows := b.NRows()
@@ -259,6 +260,9 @@ func (b *Block) StripeInto(dst *Block, round, residue, stride, domain int) {
 		dst.off = make([]int64, nRows+1)
 	}
 	dst.off = dst.off[:nRows+1]
+	if cap(dst.col) < len(b.col) {
+		dst.col = make([]Vertex, 0, len(b.col))
+	}
 	dst.col = dst.col[:0]
 	dst.hubs = hubIndex{}
 	res, str := Vertex(residue), Vertex(stride)
@@ -276,15 +280,12 @@ func (b *Block) StripeInto(dst *Block, round, residue, stride, domain int) {
 }
 
 // BuildHubs indexes heavy rows with packed bitmaps over the entry band's
-// domain (see buildHubs for the memory cap); minDeg ≤ 0 disables. Queries
-// against a hub row become branchless bit tests, hub ∩ hub word-AND +
-// popcount — the same kernels the 1D counters dispatch to.
+// domain (see buildHubs for the memory cap); minDeg ≤ 0 disables. CountRow
+// probes a marked row against a hub row's bitmap when the hub row is the
+// longer one, as the 1D counters do.
 func (b *Block) BuildHubs(minDeg, threads int) {
 	b.hubs = buildHubs(b.NRows(), b.domain, b.off, b.col, minDeg, threads)
 }
-
-// Hub returns row rel's bitmap, nil when the row is not indexed.
-func (b *Block) Hub(rel int) Bitset { return b.hubs.bitset(rel) }
 
 // Wire serialization: only non-empty rows are shipped, each as
 // (relGap, len, first, gap, gap, ...). Rows leave in ascending order, so
@@ -293,15 +294,19 @@ func (b *Block) Hub(rel int) Bitset { return b.hubs.bitset(rel) }
 // the varint wire codec both become delta-varint compression, without the
 // codec needing to know record boundaries.
 
-// AppendWire appends the block's wire words to dst and returns it.
+// AppendWire appends the block's wire words to dst and returns it. dst grows
+// at most once, to the exact length 3 + 2·(non-empty rows) + NNZ.
 func (b *Block) AppendWire(dst []uint64) []uint64 {
-	used := uint64(0)
+	used := 0
 	for row := 0; row < b.NRows(); row++ {
 		if b.off[row+1] > b.off[row] {
 			used++
 		}
 	}
-	dst = append(dst, uint64(b.bandRow), uint64(b.bandCol), used)
+	if need := 3 + 2*used + len(b.col); cap(dst)-len(dst) < need {
+		dst = append(make([]uint64, 0, len(dst)+need), dst...)
+	}
+	dst = append(dst, uint64(b.bandRow), uint64(b.bandCol), uint64(used))
 	prevRow := 0
 	first := true
 	for row := 0; row < b.NRows(); row++ {
@@ -334,14 +339,20 @@ func (b *Block) AppendWire(dst []uint64) []uint64 {
 // against the bands the receiver expects for this round and sizing rows and
 // entries by the caller-supplied dimensions (nRows rows, entries < domain).
 // b's off and col capacity is reused, so the steady-state exchange decodes
-// without allocating. The rows arrive ascending (AppendWire's order), so
-// the CSR assembles in one pass.
+// without allocating; a short col grows once, to len(wire) — never to a
+// size read from the (untrusted) header. The rows arrive ascending
+// (AppendWire's order), so the CSR assembles in one pass.
 func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Block) error {
 	if len(wire) < 3 {
 		return fmt.Errorf("graph: block wire truncated (%d words)", len(wire))
 	}
-	if int(wire[0]) != bandRow || int(wire[1]) != bandCol {
+	if wire[0] != uint64(bandRow) || wire[1] != uint64(bandCol) {
 		return fmt.Errorf("graph: block wire names bands (%d,%d), expected (%d,%d)", wire[0], wire[1], bandRow, bandCol)
+	}
+	// Every record names a distinct row and takes at least three words, so a
+	// count beyond either bound is malformed (and never reaches int).
+	if wire[2] > uint64(nRows) || wire[2] > uint64((len(wire)-3)/3) {
+		return fmt.Errorf("graph: block wire claims %d rows (block has %d, wire %d words)", wire[2], nRows, len(wire))
 	}
 	b.bandRow, b.bandCol, b.domain = bandRow, bandCol, domain
 	used := int(wire[2])
@@ -350,6 +361,9 @@ func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Bloc
 		b.off = make([]int64, nRows+1)
 	}
 	b.off = b.off[:nRows+1]
+	if cap(b.col) < len(wire) {
+		b.col = make([]Vertex, 0, len(wire))
+	}
 	b.col = b.col[:0]
 	b.hubs = hubIndex{}
 	w := int64(0)
@@ -359,20 +373,22 @@ func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Bloc
 			return fmt.Errorf("graph: block wire truncated in record %d", rec)
 		}
 		// The first record carries its row absolute, later ones a gap off the
-		// previous row (≥ 1: rows are strictly ascending on the wire).
-		rel, ln := int(wire[0]), int(wire[1])
+		// previous row (≥ 1: rows are strictly ascending on the wire). Both
+		// words are range-checked as uint64 before either becomes an int, so
+		// huge values cannot wrap into range.
+		rel, ln := wire[0], wire[1]
 		if rec > 0 {
-			rel += nextRow - 1 // nextRow is the previous record's row + 1
+			rel += uint64(nextRow) - 1 // nextRow is the previous record's row + 1
 		}
 		wire = wire[2:]
-		if rel < nextRow || rel >= nRows || ln < 1 || ln > len(wire) {
+		if rel < uint64(nextRow) || rel >= uint64(nRows) || ln < 1 || ln > uint64(len(wire)) {
 			return fmt.Errorf("graph: block wire record %d malformed (rel=%d len=%d)", rec, rel, ln)
 		}
-		for ; nextRow <= rel; nextRow++ {
+		for ; nextRow <= int(rel); nextRow++ {
 			b.off[nextRow] = w
 		}
 		prev := Vertex(0)
-		for i := 0; i < ln; i++ {
+		for i := 0; i < int(ln); i++ {
 			v := wire[i]
 			if i > 0 {
 				v += prev

@@ -236,6 +236,19 @@ func TestBlockWireRoundTrip(t *testing.T) {
 		for rank := 0; rank < g2.P(); rank++ {
 			b := BuildBlock2D(g2, rank, per[rank], 1)
 			wire := b.AppendWire(nil)
+			nonEmpty := 0
+			for row := 0; row < b.NRows(); row++ {
+				if len(b.Row(row)) > 0 {
+					nonEmpty++
+				}
+			}
+			if len(wire) != 3+2*nonEmpty+b.NNZ() {
+				t.Fatalf("rank %d: %d wire words, want 3+2·%d+%d", rank, len(wire), nonEmpty, b.NNZ())
+			}
+			// The wire buffer is sized once, from the block itself.
+			if allocs := testing.AllocsPerRun(10, func() { wire = b.AppendWire(nil) }); allocs != 1 {
+				t.Fatalf("rank %d: AppendWire(nil) made %v allocations, want 1", rank, allocs)
+			}
 			if err := DecodeBlockInto(wire, b.BandRow(), b.BandCol(), b.NRows(), b.Domain(), &scratch); err != nil {
 				t.Fatalf("rank %d: decode: %v", rank, err)
 			}
@@ -251,6 +264,11 @@ func TestBlockWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// raceBuild is set under the race detector, whose sync.Pool drops items at
+// random: fmt's printer pool then makes the allocation count of an error
+// path vary from run to run.
+var raceBuild bool
 
 // TestDecodeBlockIntoRejectsMalformed: truncation, band mismatches,
 // descending rows, out-of-range and out-of-order entries, trailing garbage.
@@ -269,10 +287,37 @@ func TestDecodeBlockIntoRejectsMalformed(t *testing.T) {
 		"entry past domain":                {0, 1, 1, 0, 1, 99},
 		"entries not ascending (zero gap)": {0, 1, 1, 0, 2, 3, 0},
 		"trailing words":                   {0, 1, 1, 0, 1, 0, 7},
+		"used 2^62":                        {0, 1, 1 << 62},
+		"used 2^63":                        {0, 1, 1 << 63},
+		"used 2^64-1":                      {0, 1, ^uint64(0)},
+		"used 2^63, padded":                {0, 1, 1 << 63, 0, 1, 0},
+		"len 2^62":                         {0, 1, 1, 0, 1 << 62, 0},
+		"len 2^63":                         {0, 1, 1, 0, 1 << 63, 0},
+		"len 2^64-1":                       {0, 1, 1, 0, ^uint64(0), 0},
+		"row gap 2^64-1":                   {0, 1, 2, 3, 1, 0, ^uint64(0), 1, 0},
 	} {
 		var b Block
 		if err := DecodeBlockInto(wire, 0, 1, 10, 10, &b); err == nil {
 			t.Errorf("%s: decode accepted %v", name, wire)
+			continue
+		}
+		if cap(b.off) > 11 || cap(b.col) > len(wire) {
+			t.Errorf("%s: decode reserved off %d, col %d words for a %d-word wire", name, cap(b.off), cap(b.col), len(wire))
+		}
+		if raceBuild {
+			continue
+		}
+		// The header never sizes a buffer: against a scratch block already
+		// large enough, a fresh one costs at most the two slices (off, col);
+		// whatever else allocates is the returned error.
+		fresh := testing.AllocsPerRun(200, func() {
+			b = Block{}
+			_ = DecodeBlockInto(wire, 0, 1, 10, 10, &b)
+		})
+		warm := Block{off: make([]int64, 0, 11), col: make([]Vertex, 0, len(wire))}
+		reused := testing.AllocsPerRun(200, func() { _ = DecodeBlockInto(wire, 0, 1, 10, 10, &warm) })
+		if fresh-reused > 2 {
+			t.Errorf("%s: decode made %v allocations beyond its error's %v, want at most 2", name, fresh, reused)
 		}
 	}
 }

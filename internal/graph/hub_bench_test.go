@@ -70,12 +70,23 @@ func BenchmarkHubRows(b *testing.B) {
 // for the compute side: a full adaptive EDGE ITERATOR pass (hub bitmaps,
 // galloping, merge) over a degree-oriented graph must report 0 allocs/op,
 // and so must the rowmarker sub-benchmark — the same pass over both graphs
-// through the row-marker engine, as SeqCount runs it. The indexes and the
+// through the row-marker engine, as SeqCount runs it — and the blockrow
+// sub-benchmark — the same triangles counted through Block.CountRow over a
+// 1×1 TK2D grid, as a TK2D round counts its block. The indexes and the
 // marker are built before the timer starts; the counting loops themselves
 // own no memory.
 func BenchmarkAdaptiveIntersectSteadyState(b *testing.B) {
 	var oris []*graph.OutGraph
+	var blocks [][2]*graph.Block
 	for _, spec := range hubBenchGraphs() {
+		g2, err := part.NewGrid2D(uint64(spec.g.NumVertices()), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		own := graph.BuildBlock2D(g2, 0, graph.ScatterEdges2D(g2, spec.g.Edges(), 1)[0], 1)
+		bt := own.Transpose(1)
+		bt.BuildHubs(graph.DefaultHubMinDegree, 1)
+		blocks = append(blocks, [2]*graph.Block{own, bt})
 		o := graph.Orient(spec.g)
 		o.BuildHubs(graph.DefaultHubMinDegree)
 		oris = append(oris, o)
@@ -104,6 +115,33 @@ func BenchmarkAdaptiveIntersectSteadyState(b *testing.B) {
 		}
 		hubSink = sink
 	})
+	b.Run("blockrow", func(b *testing.B) {
+		var m graph.RowMarker
+		if got, want := blockRowPass(blocks, &m), rowMarkerPass(oris, &m); got != want {
+			b.Fatalf("block rows count %d triangles, row marker %d", got, want)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			sink += blockRowPass(blocks, &m)
+		}
+		hubSink = sink
+	})
+}
+
+// blockRowPass counts the triangles of every 1×1-grid block (own, its
+// transpose) through m: the single round's operands are the block itself
+// and its transpose.
+func blockRowPass(blocks [][2]*graph.Block, m *graph.RowMarker) uint64 {
+	var count uint64
+	for _, ob := range blocks {
+		own, bt := ob[0], ob[1]
+		for rel := 0; rel < own.NRows(); rel++ {
+			count += own.CountRow(m, rel, own, bt)
+		}
+	}
+	return count
 }
 
 // rowMarkerPass counts the triangles of every graph through m.

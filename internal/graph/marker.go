@@ -2,9 +2,11 @@ package graph
 
 // Row-marker intersection engine. Every EDGE ITERATOR loop closes the wedges
 // of one row v by intersecting the hoisted list A(v) with A(u) for each
-// out-neighbor u. Instead of merging per pair, the engine marks A(v) once in
-// a bitset over the row (or vertex) domain and closes each wedge by probing
-// the smaller side with branch-free bit tests:
+// out-neighbor u (TK2D's block rows intersect a round stripe's row with
+// transposed rows the same way). Instead of merging per pair, the engine
+// marks A(v) once in a bitset over the row (or vertex, or round band) domain
+// and closes each wedge by probing the smaller side with branch-free bit
+// tests:
 //
 //   - u carries a hub bitmap and |A(v)| < |A(u)|: test A(v) against it;
 //   - otherwise: test A(u) against the marker.
@@ -13,7 +15,7 @@ package graph
 // how the two lists interleave, and the per-row setup is O(|A(v)|): Clear
 // resets only the words the marked list touched. A marker occupies one
 // n/64-word bitset per owner, so every counting state (hybrid worker,
-// receive-pool worker, overlap worker) keeps its own.
+// receive-pool worker, overlap worker, TK2D worker) keeps its own.
 
 // ProbeCounts counts the wedges a RowMarker closed per branch.
 type ProbeCounts struct {
@@ -141,4 +143,46 @@ func (o *LocalOriented) CountMarkedSplit(m *RowMarker, row int32) (local, ghost 
 // ForEachMarked calls fn for every row of marked ∩ A(row), ascending.
 func (o *LocalOriented) ForEachMarked(m *RowMarker, row int32, fn func(Vertex)) {
 	m.ForEach(o.OutRows(row), o.hubs.bitset(int(row)), fn)
+}
+
+// CountRow closes the wedges of TK2D's own row rel against one counting
+// round's operands: it returns Σ_{j ∈ own.Row(rel)} |a.Row(rel) ∩ bt.Row(j)|,
+// where a is the round stripe of the row-band block and bt the transposed
+// round stripe of the column-band block, both with round-space entries below
+// a.Domain(). a.Row(rel) is marked once; each wedge probes bt's row j (or,
+// when that row is the longer one, the marked list against its hub bitmap).
+// m is left cleared.
+func (own *Block) CountRow(m *RowMarker, rel int, a, bt *Block) uint64 {
+	js := own.Row(rel)
+	ai := a.Row(rel)
+	if len(js) == 0 || len(ai) == 0 {
+		return 0
+	}
+	m.Mark(ai, a.Domain())
+	var c uint64
+	for _, j := range js {
+		if bj := bt.Row(int(j)); len(bj) > 0 {
+			c += m.Count(bj, bt.hubs.bitset(int(j)))
+		}
+	}
+	m.Clear()
+	return c
+}
+
+// ForEachRowTriangle calls fn(j, v) for every triangle CountRow counts: j
+// runs over own.Row(rel) ascending and, for each j, v over the round-space
+// middle vertices of a.Row(rel) ∩ bt.Row(j) ascending. m is left cleared.
+func (own *Block) ForEachRowTriangle(m *RowMarker, rel int, a, bt *Block, fn func(j, v Vertex)) {
+	js := own.Row(rel)
+	ai := a.Row(rel)
+	if len(js) == 0 || len(ai) == 0 {
+		return
+	}
+	m.Mark(ai, a.Domain())
+	for _, j := range js {
+		if bj := bt.Row(int(j)); len(bj) > 0 {
+			m.ForEach(bj, bt.hubs.bitset(int(j)), func(v Vertex) { fn(j, v) })
+		}
+	}
+	m.Clear()
 }
